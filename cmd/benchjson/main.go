@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -51,12 +52,16 @@ type Benchmark struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Run is one labelled benchmark session.
+// Run is one labelled benchmark session. GOMAXPROCS is the benchmarked
+// process's, read from the result lines' -N name suffix (Go omits it at 1),
+// or 0 when the lines disagree (a -cpu list); CPU is the `cpu:` header go
+// test prints.
 type Run struct {
 	Label      string      `json:"label"`
 	Date       string      `json:"date"`
 	GoVersion  string      `json:"go_version"`
 	GOMAXPROCS int         `json:"gomaxprocs"`
+	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -72,7 +77,8 @@ func main() {
 	baseline := flag.String("baseline", "", "trajectory file[:label] to enforce the regression gate against")
 	flag.Parse()
 
-	run, err := parseRun(*label)
+	// The input passes through to stdout so the run stays readable.
+	run, err := parseRun(*label, os.Stdin, os.Stdout)
 	if err != nil {
 		fatal(err)
 	}
@@ -137,25 +143,29 @@ func loadFile(path string) (*File, error) {
 	return &f, nil
 }
 
-// parseRun reads `go test -bench` output from stdin. Benchmark lines have
-// the shape:
+// parseRun reads `go test -bench` output from r, copying each line to echo.
+// Benchmark lines have the shape:
 //
 //	BenchmarkName-8   	 3	 9986151 ns/op	 1290672 B/op	 17 allocs/op	 2.563 RMS_%
 //
-// i.e. name, iteration count, then value/unit pairs. Non-benchmark lines
-// (package headers, PASS/ok) are ignored.
-func parseRun(label string) (Run, error) {
+// i.e. name, iteration count, then value/unit pairs. The `cpu:` header is
+// recorded; other non-benchmark lines (package headers, PASS/ok) are
+// ignored.
+func parseRun(label string, r io.Reader, echo io.Writer) (Run, error) {
 	run := Run{
-		Label:      label,
-		Date:       time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Label:     label,
+		Date:      time.Now().UTC().Format(time.RFC3339),
+		GoVersion: runtime.Version(),
 	}
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		fmt.Println(line) // pass output through so the run stays readable
+		fmt.Fprintln(echo, line)
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok && run.CPU == "" {
+			run.CPU = strings.TrimSpace(cpu)
+			continue
+		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -167,9 +177,10 @@ func parseRun(label string) (Run, error) {
 		if err != nil {
 			continue // e.g. "Benchmarking..." chatter, not a result line
 		}
+		// Strip the -GOMAXPROCS suffix so runs on different machines compare.
+		name, procs := splitProcs(fields[0])
 		b := Benchmark{
-			// Strip the -GOMAXPROCS suffix so runs on different machines compare.
-			Name:       strings.TrimPrefix(strings.SplitN(fields[0], "-", 2)[0], "Benchmark"),
+			Name:       strings.TrimPrefix(name, "Benchmark"),
 			Iterations: iters,
 		}
 		for i := 2; i+1 < len(fields); i += 2 {
@@ -191,9 +202,31 @@ func parseRun(label string) (Run, error) {
 				b.Metrics[unit] = val
 			}
 		}
+		if len(run.Benchmarks) == 0 {
+			run.GOMAXPROCS = procs
+		} else if procs != run.GOMAXPROCS {
+			run.GOMAXPROCS = 0
+		}
 		run.Benchmarks = append(run.Benchmarks, b)
 	}
 	return run, sc.Err()
+}
+
+// splitProcs splits a result line's name into the benchmark name and the
+// GOMAXPROCS of its trailing -N suffix. Only that suffix is stripped, so a
+// sub-benchmark name containing '-' survives. Go prints no suffix at
+// GOMAXPROCS 1, so a sub-benchmark whose own name ends in -<digits> would be
+// misread at 1: name such cases n=64, not n-64.
+func splitProcs(name string) (string, int) {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 {
+		return name, 1
+	}
+	n, err := strconv.Atoi(name[i+1:])
+	if err != nil || n < 1 || name[i+1] == '+' {
+		return name, 1
+	}
+	return name[:i], n
 }
 
 // resolveBaseline loads the baseline run from "file" or "file:label": the

@@ -153,7 +153,7 @@ func main() {
 		}
 	}
 	if *irdrop != "" {
-		if err := runIRDrop(spec, res, *irdrop); err != nil {
+		if err := runIRDrop(ctx, spec, res, *irdrop); err != nil {
 			fatalSolve(err, *ckptPath)
 		}
 	}
@@ -188,7 +188,7 @@ func fatalSolve(err error, ckptPath string) {
 
 // runIRDrop solves the plane's DC resistive network for the requested load
 // currents and reports the worst drop and current density.
-func runIRDrop(spec *core.BoardSpec, res *core.Result, arg string) error {
+func runIRDrop(ctx context.Context, spec *core.BoardSpec, res *core.Result, arg string) error {
 	portCell := map[string]int{}
 	for _, p := range res.Mesh.Ports {
 		portCell[p.Name] = p.Cell
@@ -219,7 +219,7 @@ func runIRDrop(spec *core.BoardSpec, res *core.Result, arg string) error {
 		}
 		injections[cell] = amps
 	}
-	v, err := res.Assembly.DCPotential(injections, ref)
+	v, err := res.Assembly.DCPotential(ctx, injections, ref)
 	if err != nil {
 		return err
 	}

@@ -25,14 +25,15 @@
 // from a CRC-guarded operator cache that evicts and recomputes damaged
 // entries. On SIGINT/SIGTERM the daemon stops accepting, gives in-flight jobs
 // -drain-grace to finish, then cancels them so sweeps flush resumable
-// snapshots, flushes never-started jobs to -state-dir/queue.manifest, and
-// exits 0. A second signal aborts immediately.
+// snapshots, keeps never-started jobs in the -state-dir job journal for the
+// next start, and exits 0. A second signal aborts immediately.
 //
 // Crash safety: with a -state-dir, sweep jobs run as leased shards under a
-// write-ahead job journal, and on startup the daemon replays journal + queue
-// manifest, automatically resubmitting every accepted-but-unfinished job
-// under its original id — each resumes from its last completed shard. Use
-// -no-recover to start cold and leave the state files in place.
+// write-ahead job journal, and on startup the daemon replays it,
+// automatically resubmitting every accepted-but-unfinished job (drain-flushed
+// ones included) under its original id — each resumes from its last
+// completed shard. Use -no-recover to start cold and leave the journal
+// untouched for the next start.
 //
 // Degraded durability: when state-dir writes keep failing after bounded
 // retries, the daemon does not crash or shed jobs — it keeps executing them
@@ -65,7 +66,7 @@ func main() {
 	addr := flag.String("addr", ":8844", "HTTP listen address")
 	workers := flag.Int("workers", 0, "worker pool size (0 = min(2, GOMAXPROCS))")
 	queue := flag.Int("queue", 0, fmt.Sprintf("accepted-job queue capacity before shedding with 429 (0 = %d)", serve.DefaultQueueCap))
-	stateDir := flag.String("state-dir", "", "directory for the operator cache, sweep snapshots and the drain manifest (empty = in-memory only)")
+	stateDir := flag.String("state-dir", "", "directory for the operator cache, sweep snapshots and the job journal (empty = in-memory only)")
 	deadline := flag.Duration("deadline", 0, fmt.Sprintf("default per-job deadline (0 = %v)", serve.DefaultDeadline))
 	maxDeadline := flag.Duration("max-deadline", 0, fmt.Sprintf("cap on client-requested deadlines (0 = %v)", serve.MaxDeadline))
 	ckptEvery := flag.Int("checkpoint-every", 0, fmt.Sprintf("sweep points between resumable snapshots (0 = %d)", serve.DefaultCheckpointEvery))
@@ -74,7 +75,7 @@ func main() {
 	shardPoints := flag.Int("shard-points", 0, "sweep points per dispatch shard (0 = checkpoint-every)")
 	shardLease := flag.Duration("shard-lease", 0, fmt.Sprintf("per-shard lease: a dispatch exceeding it is cancelled and requeued (0 = %v)", serve.DefaultShardLease))
 	shardAttempts := flag.Int("shard-attempts", 0, fmt.Sprintf("dispatches per shard before quarantine (0 = %d)", serve.DefaultShardAttempts))
-	noRecover := flag.Bool("no-recover", false, "skip replaying the job journal and queue manifest on startup")
+	noRecover := flag.Bool("no-recover", false, "skip replaying the job journal on startup (it is left untouched for the next start)")
 	rearmProbe := flag.Duration("rearm-probe", 0, fmt.Sprintf("how often degraded durability probes storage to re-arm (0 = %v)", serve.DefaultRearmProbe))
 	faultSchedule := flag.String("fault-schedule", "", "TESTING ONLY: seeded storage-fault schedule injected under the checkpoint filesystem, e.g. \"seed=7;journal.append:eio{times=3}\"")
 	flag.Parse()
@@ -121,12 +122,7 @@ func main() {
 	defer jobCancel()
 	srv.Start(jobCtx)
 
-	if *noRecover {
-		if reqs, err := serve.ReadManifest(*stateDir); *stateDir != "" && err == nil && len(reqs) > 0 {
-			fmt.Fprintf(os.Stderr, "pdnserve: note: %s/queue.manifest holds %d job(s) flushed by a previous drain; resubmit them via POST /jobs (recovery disabled by -no-recover)\n",
-				*stateDir, len(reqs))
-		}
-	} else if *stateDir != "" {
+	if !*noRecover && *stateDir != "" {
 		rep, err := srv.Recover()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pdnserve: recovery: journal replay failed (serving without it): %v\n", err)
@@ -142,9 +138,6 @@ func main() {
 		}
 		for _, id := range rep.SkippedBusy {
 			fmt.Fprintf(os.Stderr, "pdnserve: recovery: job %s did not fit the queue; it stays journaled for the next start\n", id)
-		}
-		if rep.ManifestJobs > 0 {
-			fmt.Fprintf(os.Stderr, "pdnserve: recovery: queue manifest held %d job(s); evicted=%v\n", rep.ManifestJobs, rep.ManifestEvicted)
 		}
 	}
 

@@ -565,8 +565,8 @@ const irDropResidTol = 1e-6
 // load) and one cell held at zero potential (the supply entry), it returns
 // the potential of every cell. This is the resistive-network solve of the
 // assembled conductance Laplacian — the practical IR-drop map a PDN designer
-// reads off the extraction.
-func (a *Assembly) DCPotential(injections map[int]float64, refCell int) ([]float64, error) {
+// reads off the extraction. ctx cancels the large-mesh CG solve.
+func (a *Assembly) DCPotential(ctx context.Context, injections map[int]float64, refCell int) ([]float64, error) {
 	g := a.ConductanceLaplacian()
 	if g == nil {
 		return nil, simerr.Tagf(simerr.ErrBadInput, "bem: lossless assembly has no DC resistance network")
@@ -578,6 +578,11 @@ func (a *Assembly) DCPotential(injections map[int]float64, refCell int) ([]float
 	var totalIn float64
 	rhs := make([]float64, n)
 	for cell, i := range injections {
+		// Cancellation before the O(n²) Laplacian work; the large-mesh CG
+		// solve below checks ctx on its own.
+		if err := simerr.CheckCtx(ctx, "bem: DC potential"); err != nil {
+			return nil, err
+		}
 		if cell < 0 || cell >= n {
 			return nil, simerr.Tagf(simerr.ErrBadInput, "bem: injection cell %d out of range", cell)
 		}
@@ -602,7 +607,7 @@ func (a *Assembly) DCPotential(injections map[int]float64, refCell int) ([]float
 		// Large mesh: the diagonally dominant grounded Laplacian converges
 		// quickly under preconditioned CG, avoiding the O(n³) factorisation.
 		var err error
-		vk, err = mat.ConjugateGradient(gk, rk, 1e-11, 0)
+		vk, err = mat.ConjugateGradientCtx(ctx, gk, rk, 1e-11, 0)
 		if err != nil {
 			return nil, fmt.Errorf("bem: IR-drop CG solve: %w", err)
 		}

@@ -1,6 +1,7 @@
 package bem
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -301,7 +302,7 @@ func TestDCPotentialStrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := a.DCPotential(map[int]float64{9: 2.0}, 0)
+	v, err := a.DCPotential(context.Background(), map[int]float64{9: 2.0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func TestDCPotentialValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lossless.DCPotential(map[int]float64{1: 1}, 0); err == nil {
+	if _, err := lossless.DCPotential(context.Background(), map[int]float64{1: 1}, 0); err == nil {
 		t.Fatal("lossless plane must reject IR-drop solves")
 	}
 	opts := DefaultOptions()
@@ -340,10 +341,10 @@ func TestDCPotentialValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.DCPotential(map[int]float64{99: 1}, 0); err == nil {
+	if _, err := a.DCPotential(context.Background(), map[int]float64{99: 1}, 0); err == nil {
 		t.Fatal("out-of-range injection must error")
 	}
-	if _, err := a.DCPotential(map[int]float64{1: 1}, -1); err == nil {
+	if _, err := a.DCPotential(context.Background(), map[int]float64{1: 1}, -1); err == nil {
 		t.Fatal("out-of-range reference must error")
 	}
 }
@@ -359,7 +360,7 @@ func TestDCCurrentsConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := a.DCPotential(map[int]float64{9: 2.0}, 0)
+	v, err := a.DCPotential(context.Background(), map[int]float64{9: 2.0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +393,7 @@ func TestDCPotentialLargeMeshCGPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := a.DCPotential(map[int]float64{699: 1.0}, 0)
+	v, err := a.DCPotential(context.Background(), map[int]float64{699: 1.0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,15 +414,15 @@ func TestDCPotentialSuperpositionProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vA, err := a.DCPotential(map[int]float64{13: 1.5}, 0)
+	vA, err := a.DCPotential(context.Background(), map[int]float64{13: 1.5}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vB, err := a.DCPotential(map[int]float64{40: 0.8}, 0)
+	vB, err := a.DCPotential(context.Background(), map[int]float64{40: 0.8}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vAB, err := a.DCPotential(map[int]float64{13: 1.5, 40: 0.8}, 0)
+	vAB, err := a.DCPotential(context.Background(), map[int]float64{13: 1.5, 40: 0.8}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

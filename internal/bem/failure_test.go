@@ -90,7 +90,7 @@ func TestDCPotentialBadInputClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lossless.DCPotential(map[int]float64{0: 1e-3}, 0); !errors.Is(err, simerr.ErrBadInput) {
+	if _, err := lossless.DCPotential(context.Background(), map[int]float64{0: 1e-3}, 0); !errors.Is(err, simerr.ErrBadInput) {
 		t.Fatalf("lossless assembly has no DC network; want ErrBadInput, got %v", err)
 	}
 	opts := DefaultOptions()
@@ -99,10 +99,10 @@ func TestDCPotentialBadInputClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lossy.DCPotential(map[int]float64{0: 1e-3}, -1); !errors.Is(err, simerr.ErrBadInput) {
+	if _, err := lossy.DCPotential(context.Background(), map[int]float64{0: 1e-3}, -1); !errors.Is(err, simerr.ErrBadInput) {
 		t.Fatalf("out-of-range reference cell must be ErrBadInput, got %v", err)
 	}
-	if _, err := lossy.DCPotential(map[int]float64{10_000: 1e-3}, 0); !errors.Is(err, simerr.ErrBadInput) {
+	if _, err := lossy.DCPotential(context.Background(), map[int]float64{10_000: 1e-3}, 0); !errors.Is(err, simerr.ErrBadInput) {
 		t.Fatalf("out-of-range injection cell must be ErrBadInput, got %v", err)
 	}
 }

@@ -21,8 +21,8 @@ type File interface {
 }
 
 // FS is the filesystem seam every durable write in this package routes
-// through — Save, Load, the Journal, and (via them) the serve daemon's
-// manifest and cache I/O. Production uses the process filesystem (osFS);
+// through — Save, Load, the Journal, and (via them) the serve daemon's job
+// journal, sweep snapshots and cache I/O. Production uses the process filesystem (osFS);
 // tests and the internal/fault injector interpose a wrapper with SetFS to
 // observe or fail individual operations without touching the os package.
 type FS interface {

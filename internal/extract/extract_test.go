@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"strings"
@@ -89,7 +90,7 @@ func TestExtractDisconnectedMesh(t *testing.T) {
 	}
 	// Conductive IR-drop across the slot is impossible.
 	far := m.NearestCell(geom.Point{X: 19e-3, Y: 9e-3})
-	if _, err := a.DCPotential(map[int]float64{far: 1}, m.Ports[0].Cell); err == nil {
+	if _, err := a.DCPotential(context.Background(), map[int]float64{far: 1}, m.Ports[0].Cell); err == nil {
 		t.Fatal("DC solve across the slot must fail")
 	}
 }

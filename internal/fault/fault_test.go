@@ -34,7 +34,7 @@ func TestParseScheduleGrammar(t *testing.T) {
 }
 
 func TestParseScheduleDefaultsSeed(t *testing.T) {
-	s, err := ParseSchedule("manifest.write:enospc")
+	s, err := ParseSchedule("cache.put:enospc")
 	if err != nil {
 		t.Fatalf("ParseSchedule: %v", err)
 	}
@@ -158,7 +158,6 @@ func TestClassify(t *testing.T) {
 	for path, want := range map[string]string{
 		"/state/jobs.journal":        "journal",
 		"/state/jobs.journal.tmp":    "journal.rewrite",
-		"/state/queue.manifest":      "manifest",
 		"/state/ab12cd.opc":          "cache",
 		"/state/ab12cd.opc.tmp":      "cache",
 		"/state/j-000001.sweep.ckpt": "checkpoint",

@@ -23,9 +23,9 @@ type faultFS struct {
 	in    *Injector
 }
 
-// classify maps a path to its fault class — the same durable-path markers
-// the pdnlint durable analyzer keys on, so the fault vocabulary and the
-// static contract stay aligned. Staged ".tmp" files inherit their target's
+// classify maps a path to its fault class — drawn from the durable-path
+// markers the pdnlint durable analyzer keys on, so the fault vocabulary and
+// the static contract stay aligned. Staged ".tmp" files inherit their target's
 // class, except the journal's rewrite staging, which gets its own class so
 // schedules can fault appends and compactions independently.
 func classify(path string) string {
@@ -37,8 +37,6 @@ func classify(path string) string {
 			return "journal.rewrite"
 		}
 		return "journal"
-	case strings.Contains(name, "manifest"):
-		return "manifest"
 	case strings.HasSuffix(name, ".opc"):
 		return "cache"
 	case strings.Contains(name, "ckpt"), strings.Contains(name, "checkpoint"),

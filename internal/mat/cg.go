@@ -7,8 +7,8 @@ import (
 	"pdnsim/internal/simerr"
 )
 
-// DefaultCGTol is the relative residual target used when ConjugateGradient
-// is called with tol <= 0: five decades above RefineTarget, matching what
+// DefaultCGTol is the relative residual target used when a CG solver is
+// called with tol <= 0: five decades above RefineTarget, matching what
 // √κ iterations of CG can actually deliver on the κ ≲ 1e8 plane Laplacians
 // it serves, and well inside every downstream trust limit.
 const DefaultCGTol = 1e-10
@@ -57,29 +57,20 @@ func (j jacobiPre) PrecondTo(dst, r []float64) {
 	}
 }
 
-// ConjugateGradient solves A·x = b for a symmetric positive-definite A with
-// the Jacobi-preconditioned conjugate gradient method. It is the large-mesh
-// alternative to the dense Cholesky factorisation: each iteration is O(n²)
-// on the dense storage but the iteration count grows with √κ rather than
-// paying the fixed O(n³) factorisation, which wins for the
-// diagonally-dominant Laplacians the plane solvers produce.
+// ConjugateGradientCtx solves A·x = b for a symmetric positive-definite A
+// with the Jacobi-preconditioned conjugate gradient method. It is the
+// large-mesh alternative to the dense Cholesky factorisation: each iteration
+// is O(n²) on the dense storage but the iteration count grows with √κ
+// rather than paying the fixed O(n³) factorisation, which wins for the
+// diagonally-dominant Laplacians the plane solvers produce. It is a dense
+// LinearOperator adapter over ConjugateGradientOp.
 //
 // tol is the relative residual target (DefaultCGTol when <= 0); maxIter
 // defaults to 10·n. Returns an error if A is not usable or convergence
-// fails.
-//
-// ConjugateGradient is the documented non-Ctx compatibility shim kept for
-// callers outside the cancellable solve chain; cancellable callers use
-// ConjugateGradientCtx.
-func ConjugateGradient(a *Matrix, b []float64, tol float64, maxIter int) ([]float64, error) {
-	return ConjugateGradientCtx(context.Background(), a, b, tol, maxIter) //pdnlint:ignore ctxflow documented non-Ctx compatibility shim; cancellable callers use ConjugateGradientCtx
-}
-
-// ConjugateGradientCtx is ConjugateGradient with cancellation: the
-// iteration loop checks ctx periodically (every cgCtxCheckEvery iterations)
-// and abandons the solve with a simerr.ErrCancelled-class error once the
-// context is done, so a large-mesh solve inside a timed-out extraction
-// stops within a few matvecs instead of running to convergence.
+// fails. The iteration loop checks ctx periodically (every cgCtxCheckEvery
+// iterations) and abandons the solve with a simerr.ErrCancelled-class error
+// once the context is done, so a large-mesh solve inside a timed-out
+// extraction stops within a few matvecs instead of running to convergence.
 //
 //pdnlint:ignore ctxflow the only loop in this body is the O(n) Jacobi setup; the unbounded iteration loop lives in ConjugateGradientOp, which checks ctx every cgCtxCheckEvery iterations
 func ConjugateGradientCtx(ctx context.Context, a *Matrix, b []float64, tol float64, maxIter int) ([]float64, error) {

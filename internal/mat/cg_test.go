@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -16,7 +17,7 @@ func TestCGMatchesCholeskyProperty(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		xc, err := ConjugateGradient(a, b, 1e-12, 0)
+		xc, err := ConjugateGradientCtx(context.Background(), a, b, 1e-12, 0)
 		if err != nil {
 			return false
 		}
@@ -56,7 +57,7 @@ func TestCGLaplacianChain(t *testing.T) {
 	// Inject 1 A at the far end of the grounded chain.
 	b := make([]float64, n)
 	b[n-1] = 1
-	x, err := ConjugateGradient(a, b, 1e-12, 0)
+	x, err := ConjugateGradientCtx(context.Background(), a, b, 1e-12, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,25 +84,25 @@ func TestParallelFor(t *testing.T) {
 }
 
 func TestCGValidation(t *testing.T) {
-	if _, err := ConjugateGradient(New(2, 3), []float64{1, 2}, 0, 0); err == nil {
+	if _, err := ConjugateGradientCtx(context.Background(), New(2, 3), []float64{1, 2}, 0, 0); err == nil {
 		t.Fatal("non-square must error")
 	}
-	if _, err := ConjugateGradient(Eye(2), []float64{1}, 0, 0); err == nil {
+	if _, err := ConjugateGradientCtx(context.Background(), Eye(2), []float64{1}, 0, 0); err == nil {
 		t.Fatal("rhs mismatch must error")
 	}
 	bad := FromRows([][]float64{{0, 0}, {0, 1}})
-	if _, err := ConjugateGradient(bad, []float64{1, 1}, 0, 0); err == nil {
+	if _, err := ConjugateGradientCtx(context.Background(), bad, []float64{1, 1}, 0, 0); err == nil {
 		t.Fatal("zero diagonal must error")
 	}
 	// [1,-1] is the eigenvector of the negative eigenvalue, forcing the
 	// p·A·p breakdown check to fire. (With b = [1,1] — the positive
 	// eigendirection — CG would legitimately converge.)
 	indef := FromRows([][]float64{{1, 2}, {2, 1}})
-	if _, err := ConjugateGradient(indef, []float64{1, -1}, 0, 0); err == nil {
+	if _, err := ConjugateGradientCtx(context.Background(), indef, []float64{1, -1}, 0, 0); err == nil {
 		t.Fatal("indefinite matrix must error")
 	}
 	// Zero RHS short-circuits to zero.
-	x, err := ConjugateGradient(Eye(3), []float64{0, 0, 0}, 0, 0)
+	x, err := ConjugateGradientCtx(context.Background(), Eye(3), []float64{0, 0, 0}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

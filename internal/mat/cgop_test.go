@@ -22,9 +22,9 @@ func TestConjugateGradientCtxCancellation(t *testing.T) {
 	if _, err := ConjugateGradientCtx(ctx, a, b, 1e-12, 0); !errors.Is(err, simerr.ErrCancelled) {
 		t.Fatalf("want ErrCancelled from a pre-cancelled context, got %v", err)
 	}
-	// The shim still solves without a context.
-	if _, err := ConjugateGradient(a, b, 1e-10, 0); err != nil {
-		t.Fatalf("shim solve failed: %v", err)
+	// A live context still solves.
+	if _, err := ConjugateGradientCtx(context.Background(), a, b, 1e-10, 0); err != nil {
+		t.Fatalf("uncancelled solve failed: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -21,7 +22,7 @@ func TestCGBreakdownIsSingularClass(t *testing.T) {
 	a.Set(0, 1, 2)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 1)
-	_, err := ConjugateGradient(a, []float64{1, -1}, 0, 0)
+	_, err := ConjugateGradientCtx(context.Background(), a, []float64{1, -1}, 0, 0)
 	if !errors.Is(err, simerr.ErrSingular) {
 		t.Fatalf("CG breakdown must be ErrSingular-class, got %v", err)
 	}
@@ -41,7 +42,7 @@ func TestCGNonConvergenceClass(t *testing.T) {
 	a.Set(1, 0, -1)
 	a.Set(1, 2, -1)
 	a.Set(2, 1, -1)
-	_, err := ConjugateGradient(a, []float64{1, 0, 0}, 1e-14, 1)
+	_, err := ConjugateGradientCtx(context.Background(), a, []float64{1, 0, 0}, 1e-14, 1)
 	if !errors.Is(err, simerr.ErrNonConvergence) {
 		t.Fatalf("CG iteration exhaustion must be ErrNonConvergence-class, got %v", err)
 	}

@@ -2,15 +2,18 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"pdnsim/internal/checkpoint"
 	"pdnsim/internal/core"
 	"pdnsim/internal/mat"
 	"pdnsim/internal/serve"
@@ -318,8 +321,9 @@ func TestPartialSweepIs200WithPointDetail(t *testing.T) {
 
 // TestDrainSnapshotsInFlightAndFlushesQueue is the shutdown invariant: a
 // drain whose grace expires mid-job must still terminate, cancelling the
-// in-flight sweep so it flushes a resumable snapshot, flushing queued jobs to
-// a manifest, and leaving every accepted job in a queryable terminal state.
+// in-flight sweep so it flushes a resumable snapshot, flushing queued jobs
+// with their journal accept records kept, and leaving every accepted job in a
+// queryable terminal state.
 // The flushed snapshot then actually resumes on a fresh daemon.
 func TestDrainSnapshotsInFlightAndFlushesQueue(t *testing.T) {
 	check := noLeaks(t)
@@ -397,16 +401,33 @@ func TestDrainSnapshotsInFlightAndFlushesQueue(t *testing.T) {
 		}
 	}
 
-	// The manifest round-trips both queued jobs for resubmission.
-	reqs, err := serve.ReadManifest(dir)
+	// Both queued jobs keep their accept records, with sweep specs and no
+	// finish, so a restart re-admits them from the journal.
+	recs, _, err := checkpoint.ReplayJournal(filepath.Join(dir, "jobs.journal"))
 	if err != nil {
-		t.Fatalf("ReadManifest: %v", err)
+		t.Fatalf("ReplayJournal: %v", err)
 	}
-	if len(reqs) != 2 {
-		t.Fatalf("manifest has %d jobs, want 2", len(reqs))
+	accepted := make(map[string]*serve.JobRequest)
+	for _, r := range recs {
+		var rec struct {
+			ID string `json:"id"`
+			serve.JobRequest
+		}
+		if json.Unmarshal(r.Payload, &rec) != nil {
+			t.Fatalf("undecodable %s record: %s", r.Kind, r.Payload)
+		}
+		if rec.ID != idB && rec.ID != idC {
+			continue
+		}
+		switch r.Kind {
+		case "serve-accept":
+			accepted[rec.ID] = &rec.JobRequest
+		case "serve-finish":
+			t.Fatalf("flushed job %s has a finish record; a restart would not re-admit it", rec.ID)
+		}
 	}
-	if reqs[0].Sweep == nil || reqs[0].Sweep.NF != 10 || reqs[1].Sweep != nil {
-		t.Fatalf("manifest entries lost their sweep specs: %+v", reqs)
+	if b, c := accepted[idB], accepted[idC]; b == nil || c == nil || b.Sweep == nil || b.Sweep.NF != 10 || c.Sweep != nil {
+		t.Fatalf("journal accepts for the flushed jobs lost or changed their sweep specs: %+v", accepted)
 	}
 
 	// Drain is idempotent, and the daemon refuses new work.

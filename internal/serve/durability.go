@@ -14,8 +14,7 @@ import (
 )
 
 // DurabilityState is the daemon's durability posture — the state machine
-// layered over the write-ahead journal, sweep snapshots, drain manifest and
-// operator cache:
+// layered over the write-ahead journal, sweep snapshots and operator cache:
 //
 //	disabled ──(StateDir + journal opens)──▶ armed
 //	armed ──(a storage write fails its bounded retries)──▶ degraded
@@ -201,26 +200,13 @@ func (s *Server) tryRearm() {
 		s.mu.Unlock()
 		return
 	}
-	j := s.journal
 	s.mu.Unlock()
 
-	if j == nil {
-		nj, err := checkpoint.OpenJournal(filepath.Join(s.cfg.StateDir, journalFile))
-		if err != nil {
-			s.noteProbeFailure(err)
-			return
-		}
-		s.mu.Lock()
-		if s.journal == nil {
-			s.journal = nj
-		} else {
-			// A concurrent path installed a journal first; keep that one.
-			defer nj.Close()
-		}
-		j = s.journal
-		s.mu.Unlock()
+	j, err := s.openJournal()
+	if err != nil {
+		s.noteProbeFailure(err)
+		return
 	}
-
 	if err := j.Append(journalKindProbe, probeRec{At: stamp(time.Now())}); err != nil {
 		if !errors.Is(err, checkpoint.ErrTailUnhealed) {
 			s.noteProbeFailure(err)
@@ -324,16 +310,44 @@ func (s *Server) noteProbeFailure(err error) {
 	s.mu.Unlock()
 }
 
-// liveAcceptRecordsLocked renders one fresh accept record per non-terminal
-// job, in acceptance order — the compaction set for Rewrite — plus the id
-// set of the jobs actually captured, so the caller can restore durability
-// claims for exactly those and no others. Caller holds s.mu.
+// openJournal returns the open job journal, first opening it when it never
+// opened (Start's attempt failed) or was closed.
+func (s *Server) openJournal() (*checkpoint.Journal, error) {
+	s.mu.Lock()
+	j := s.journal
+	s.mu.Unlock()
+	if j != nil {
+		return j, nil
+	}
+	nj, err := checkpoint.OpenJournal(filepath.Join(s.cfg.StateDir, journalFile))
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	if s.journal == nil {
+		s.journal, nj = nj, nil
+	}
+	j = s.journal
+	s.mu.Unlock()
+	if nj != nil {
+		// A concurrent path installed a journal first; keep that one.
+		nj.Close()
+	}
+	return j, nil
+}
+
+// liveAcceptRecordsLocked renders one fresh accept record per job a restart
+// must re-admit — every non-terminal job, plus flushed ones (terminal for
+// the status API, but never run) — in acceptance order: the compaction set
+// for Rewrite. It also returns the id set of the jobs actually captured, so
+// the caller can restore durability claims for exactly those and no others.
+// Caller holds s.mu.
 func (s *Server) liveAcceptRecordsLocked() ([]checkpoint.JournalRecord, map[string]bool) {
 	var keep []checkpoint.JournalRecord
 	captured := make(map[string]bool)
 	for _, id := range s.order {
 		jb, ok := s.jobs[id]
-		if !ok || jb.state.Terminal() {
+		if !ok || (jb.state.Terminal() && jb.state != StateFlushed) {
 			continue
 		}
 		rec := jobAcceptRec{

@@ -74,7 +74,7 @@ func TestStorageFaultScheduleSweep(t *testing.T) {
 		"seed=5;checkpoint.*:eio{p=0.4}",
 		"seed=6;*:eio{p=0.2,times=20}",
 		"seed=7;journal.append:latency{delay=5ms,p=0.5};dir.sync:latency{delay=2ms}",
-		"seed=8;manifest.write:eio;journal.rewrite:eio{p=0.5}",
+		"seed=8;journal.rewrite:eio",
 	}
 	for _, spec := range schedules {
 		t.Run(spec, func(t *testing.T) {
@@ -249,11 +249,13 @@ func gatedExtract(gate <-chan struct{}) func(context.Context, *core.BoardSpec, s
 // every job non-terminal so a finish record cannot vouch for anyone.
 func TestRearmWindowSubmitStaysHonest(t *testing.T) {
 	check := noLeaks(t)
-	// The first accept append burns the three eio faults (fastStorage: three
-	// attempts) and degrades durability; every later append succeeds. The
-	// re-arm rewrite is stretched by 250 ms, spanning many submit-loop
-	// iterations.
-	installFaults(t, "journal.append:eio{times=3};journal.rewrite:latency{delay=250ms,times=4}")
+	// The first job's accept append and the worker's start append race for
+	// the five eio faults. Each gets three attempts (fastStorage), so one of
+	// them must exhaust its retries and degrade durability — two failures
+	// apiece would leave the fifth fault unclaimed — and the probe absorbs
+	// any remainder; every later append succeeds. The re-arm rewrite is
+	// stretched by 250 ms, spanning many submit-loop iterations.
+	installFaults(t, "journal.append:eio{times=5};journal.rewrite:latency{delay=250ms,times=4}")
 	dir := t.TempDir()
 	gate := make(chan struct{})
 	s := startServer(t, serve.Config{
@@ -468,14 +470,12 @@ func TestRecoverJournalAcceptWithTornFinish(t *testing.T) {
 	}
 }
 
-// TestRecoverManifestWithCorruptJournal: the drain manifest holds a flushed
-// job while the journal is corrupt mid-stream (bitrot before the tail).
-// The manifest is the canonical copy; the job must come back exactly once
-// under its original id.
-func TestRecoverManifestWithCorruptJournal(t *testing.T) {
+// TestRecoverFlushedJobWithCorruptJournal: a drain-flushed job's accept
+// record is followed by garbage (bitrot, or a torn write nothing healed).
+// The accept alone must bring the job back exactly once under its original
+// id, and the compacting rewrite re-journals it, so it is durable again.
+func TestRecoverFlushedJobWithCorruptJournal(t *testing.T) {
 	dir := t.TempDir()
-	// A valid accept for the manifest job, then garbage clobbering the rest
-	// of the journal.
 	writeJournalRecords(t, dir, struct {
 		kind    string
 		payload any
@@ -485,21 +485,17 @@ func TestRecoverManifestWithCorruptJournal(t *testing.T) {
 		fmt.Fprint(f, "{torn garbage that never parses")
 		f.Close()
 	}
-	// The manifest also lists the job (drain flushed it).
-	if err := checkpoint.Save(filepath.Join(dir, "queue.manifest"), "serve-queue", map[string]any{
-		"drained_at": time.Now().UTC().Format(time.RFC3339Nano),
-		"jobs":       []map[string]any{{"id": "j-000007", "board": json.RawMessage(testBoard)}},
-	}); err != nil {
-		t.Fatalf("Save manifest: %v", err)
-	}
 
 	s := startServer(t, serve.Config{Workers: 1, StateDir: dir}, serve.Hooks{})
 	rep, err := s.Recover()
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
+	if !rep.TruncatedTail {
+		t.Fatalf("recover report does not flag the garbage tail: %+v", rep)
+	}
 	if len(rep.Resubmitted) != 1 || rep.Resubmitted[0] != "j-000007" {
-		t.Fatalf("resubmitted = %v, want exactly [j-000007] — journal ∪ manifest must dedupe", rep.Resubmitted)
+		t.Fatalf("resubmitted = %v, want exactly [j-000007]", rep.Resubmitted)
 	}
 	st := waitTerminal(t, s, "j-000007", 30*time.Second)
 	if st.State != serve.StateDone {
@@ -507,6 +503,101 @@ func TestRecoverManifestWithCorruptJournal(t *testing.T) {
 	}
 	if !st.Durable {
 		t.Fatalf("recovered job durable=false; the compacting rewrite re-journaled it")
+	}
+	if jobs := s.Jobs(); len(jobs) != 1 {
+		t.Fatalf("daemon holds %d jobs after recovery, want exactly 1", len(jobs))
+	}
+}
+
+// TestDrainJournalsNonDurableQueuedJob: a queued job whose accept append
+// failed is durable:false, and a drain that flushes it must still leave a
+// restarted daemon able to re-admit it. The drain rewrites the journal to
+// the live set, the flushed job included, which makes the job durable; the
+// next start's Recover brings it back exactly once under its original id.
+func TestDrainJournalsNonDurableQueuedJob(t *testing.T) {
+	check := noLeaks(t)
+	dir := t.TempDir()
+	gate := make(chan struct{})
+	defer close(gate)
+	// The fault layer wraps file handles at open, so it goes in before the
+	// journal opens. It skips job A's accept and start appends and fails the
+	// next one, B's accept. One attempt per write, so that single fault fails
+	// the append outright; no probe runs before the drain to re-journal B.
+	installFaults(t, "seed=12;journal.append:eio{after=2,times=1}")
+	s := serve.New(serve.Config{
+		Workers: 1, StateDir: dir,
+		StoragePolicy: supervise.Policy{MaxAttempts: 1, Backoff: -1}, RearmProbe: time.Hour,
+	}, serve.Hooks{Extract: gatedExtract(gate)})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+
+	// Job A holds the only worker, so B stays queued. Wait for A's start
+	// record, so the fault can only hit B's accept append.
+	idA, err := s.Submit(context.Background(), &serve.JobRequest{Board: []byte(testBoard)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for countJournalKind(t, dir, "serve-start") < 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never journaled its start", idA)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	idB, err := s.Submit(context.Background(), &serve.JobRequest{Board: []byte(testBoard)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stB, err := s.JobStatus(idB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stB.State != serve.StateQueued || stB.Durable || stB.LastError == "" {
+		t.Fatalf("job B = %q durable=%v lastErr=%q, want queued, non-durable, with a cause",
+			stB.State, stB.Durable, stB.LastError)
+	}
+
+	dctx, dcancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer dcancel()
+	if rep := s.Drain(dctx); rep.Flushed != 1 {
+		t.Fatalf("drain report = %+v, want job B flushed", rep)
+	}
+	stB, err = s.JobStatus(idB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stB.State != serve.StateFlushed || !stB.Durable || stB.LastError != "" {
+		t.Fatalf("flushed job B = %q durable=%v lastErr=%q, want flushed and durable after the drain rewrite",
+			stB.State, stB.Durable, stB.LastError)
+	}
+	check()
+
+	s2 := startServer(t, serve.Config{Workers: 1, StateDir: dir}, serve.Hooks{})
+	rep, err := s2.Recover()
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	n := 0
+	for _, id := range rep.Resubmitted {
+		if id == idB {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Fatalf("resubmitted = %v, want %s exactly once", rep.Resubmitted, idB)
+	}
+	if st := waitTerminal(t, s2, idB, 30*time.Second); st.State != serve.StateDone {
+		t.Fatalf("recovered job B = %q (error %q), want done", st.State, st.Error)
+	}
+	n = 0
+	for _, st := range s2.Jobs() {
+		if st.ID == idB {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Fatalf("daemon holds job %s %d times after recovery, want once", idB, n)
 	}
 }
 

@@ -41,8 +41,9 @@ const (
 	// sweep flushed a resumable checkpoint; resubmit with
 	// sweep.resume_from = SnapshotPath to pick the work back up.
 	StateSnapshotted JobState = "snapshotted"
-	// StateFlushed: accepted but never started when a drain began; the
-	// job's request was flushed to the queue manifest for resubmission.
+	// StateFlushed: accepted but never started when a drain began. Final
+	// for this process, but the job's accept record stays in the journal
+	// with no finish, so a restart's Recover re-admits it under its id.
 	StateFlushed JobState = "flushed"
 )
 
@@ -161,13 +162,13 @@ type JobStatus struct {
 	Quarantined int `json:"quarantined,omitempty"`
 
 	// Durable reports whether the job's crash-recovery records are durably
-	// on disk (write-ahead accept record journaled, snapshots and manifest
-	// writes succeeding). Always false without a state directory. Never
+	// on disk (write-ahead accept record journaled, snapshot writes
+	// succeeding). Always false without a state directory. Never
 	// omitted: clients must be able to distinguish an explicit false from
 	// an old server that does not report durability.
 	Durable bool `json:"durable"`
 	// LastError is the most recent storage failure that touched this job
-	// (journal append, sweep snapshot, queue manifest); empty when none.
+	// (journal append or rewrite, sweep snapshot); empty when none.
 	LastError string `json:"last_error,omitempty"`
 }
 

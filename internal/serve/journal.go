@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -136,29 +135,23 @@ type RecoverReport struct {
 	// record (the expected signature of a mid-append crash); the valid
 	// prefix was replayed.
 	TruncatedTail bool `json:"truncated_tail,omitempty"`
-	// ManifestJobs counts jobs found in the drain queue manifest;
-	// ManifestEvicted reports that the manifest was removed because every
-	// job in it was re-admitted (or is unrecoverable).
-	ManifestJobs    int  `json:"manifest_jobs,omitempty"`
-	ManifestEvicted bool `json:"manifest_evicted,omitempty"`
 }
 
-// Recover replays the job journal and the drain queue manifest from the
-// state directory and resubmits every accepted-but-unfinished job under its
-// original id, marked recovered so its sweep resumes from the job's own
-// snapshot. Call once, after Start. The sequence is deliberate:
+// Recover replays the job journal from the state directory and resubmits
+// every accepted-but-unfinished job under its original id, marked recovered
+// so its sweep resumes from the job's own snapshot. Call once, after Start.
+// The sequence is deliberate:
 //
 //  1. Replay the journal (longest valid prefix; a torn tail is the normal
-//     crash signature) and union it with the manifest: journal accepts
-//     without a finish record are crash-interrupted work, manifest entries
-//     are drain-flushed work. Both resubmit; ids dedupe the overlap.
+//     crash signature): accepts without a finish record are live — work a
+//     crash interrupted, or queued work a drain flushed. Ids dedupe
+//     repeated accepts, and a finish is terminal regardless of order.
 //  2. Compact the journal down to fresh accept records for the live set
 //     BEFORE resubmitting — resubmitted jobs start finishing immediately,
 //     and their finish records must land after the compaction, not be
 //     erased by it.
 //  3. Resubmit in acceptance order, restoring the id sequence so new
 //     submissions never collide with recovered ids.
-//  4. Evict the manifest only once none of its jobs still need it.
 //
 // With no state directory Recover is a no-op. Admission failures are
 // per-job and reported; the returned error covers only an unreadable
@@ -205,27 +198,6 @@ func (s *Server) Recover() (RecoverReport, error) {
 		}
 	}
 
-	// Drain-flushed jobs carry accept records but no finish; the manifest is
-	// their canonical copy and covers journals lost to a separate failure.
-	manPath := filepath.Join(s.cfg.StateDir, "queue.manifest")
-	var man manifest
-	haveManifest := checkpoint.Load(manPath, manifestKind, &man) == nil
-	manifestIDs := make(map[string]bool)
-	if haveManifest {
-		rep.ManifestJobs = len(man.Jobs)
-		for _, e := range man.Jobs {
-			if e.ID == "" {
-				continue
-			}
-			manifestIDs[e.ID] = true
-			note(e.ID)
-			if _, seen := accepts[e.ID]; !seen {
-				order = append(order, e.ID)
-				accepts[e.ID] = jobAcceptRec{ID: e.ID, Board: e.Board, Sweep: e.Sweep, DeadlineMS: e.DeadlineMS}
-			}
-		}
-	}
-
 	// Validate the live set. A job whose board no longer parses (journal
 	// bitrot, schema drift) is unrecoverable: reported, then dropped by the
 	// compaction below.
@@ -236,7 +208,6 @@ func (s *Server) Recover() (RecoverReport, error) {
 		submitted time.Time
 	}
 	var live []pendingJob
-	failedIDs := make(map[string]bool)
 	for _, id := range order {
 		if finished[id] {
 			continue
@@ -248,7 +219,6 @@ func (s *Server) Recover() (RecoverReport, error) {
 		}
 		if perr != nil {
 			rep.Failed = append(rep.Failed, id+": "+perr.Error())
-			failedIDs[id] = true
 			continue
 		}
 		deadline := time.Duration(a.DeadlineMS) * time.Millisecond
@@ -336,24 +306,6 @@ func (s *Server) Recover() (RecoverReport, error) {
 		}
 	}
 
-	if haveManifest {
-		needed := false
-		admitted := make(map[string]bool, len(rep.Resubmitted))
-		for _, id := range rep.Resubmitted {
-			admitted[id] = true
-		}
-		for id := range manifestIDs {
-			if !admitted[id] && !failedIDs[id] && !finished[id] {
-				needed = true
-				break
-			}
-		}
-		if !needed {
-			if os.Remove(manPath) == nil {
-				rep.ManifestEvicted = true
-			}
-		}
-	}
 	return rep, nil
 }
 

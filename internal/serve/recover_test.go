@@ -21,9 +21,10 @@ import (
 
 // The recovery suite exercises the crash-safety half of the daemon: the
 // write-ahead job journal, per-shard leases, poison-shard quarantine, and
-// Recover's replay of journal + queue manifest after both kinds of death —
-// SIGKILL mid-sweep (nothing flushed, torn journal tail) and a graceful
-// drain (manifest written, journal closed cleanly).
+// Recover's replay of the journal after both kinds of death — SIGKILL
+// mid-sweep (nothing flushed, torn journal tail) and a graceful drain
+// (queued jobs flushed with their accept records kept, journal closed
+// cleanly).
 
 // noWaitPolicy removes supervision and shard-requeue backoff so the chaos
 // clocks run on lease durations alone.
@@ -273,11 +274,11 @@ func TestPoisonShardQuarantinesJobPartial(t *testing.T) {
 	check()
 }
 
-// TestRecoverReplaysDrainManifest: jobs flushed to the queue manifest by a
-// drain are auto-resubmitted by Recover on the next start — under their
-// original ids, with the manifest evicted only after all of them are back in
-// the queue, and the id sequence restored past them.
-func TestRecoverReplaysDrainManifest(t *testing.T) {
+// TestRecoverReplaysDrainFlushedJobs: jobs a drain flushed from the queue
+// keep their journal accept records (no finish), so Recover auto-resubmits
+// them on the next start — under their original ids, in acceptance order,
+// with the id sequence restored past them.
+func TestRecoverReplaysDrainFlushedJobs(t *testing.T) {
 	dir := t.TempDir()
 	cfg := serve.Config{Workers: 1, QueueCap: 8, StateDir: dir}
 	s1 := serve.New(cfg, serve.Hooks{Extract: delayedExtract(150 * time.Millisecond)})
@@ -328,12 +329,6 @@ func TestRecoverReplaysDrainManifest(t *testing.T) {
 	if len(rrep.Resubmitted) != 2 || rrep.Resubmitted[0] != id2 || rrep.Resubmitted[1] != id3 {
 		t.Fatalf("resubmitted = %v, want [%s %s] in order", rrep.Resubmitted, id2, id3)
 	}
-	if rrep.ManifestJobs != 2 || !rrep.ManifestEvicted {
-		t.Fatalf("manifest handling = %+v, want 2 jobs and eviction", rrep)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "queue.manifest")); !os.IsNotExist(err) {
-		t.Fatalf("manifest not evicted from disk: %v", err)
-	}
 	for _, id := range []string{id2, id3} {
 		st := waitTerminal(t, s2, id, 60*time.Second)
 		if st.State != serve.StateDone {
@@ -371,7 +366,7 @@ func TestRecoverWithoutStateDirIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Resubmitted) != 0 || rep.ManifestJobs != 0 {
+	if len(rep.Resubmitted) != 0 || len(rep.Failed) != 0 {
 		t.Fatalf("no-op recover report = %+v", rep)
 	}
 }

@@ -21,20 +21,21 @@
 //     with a repaired diag warning, never a 500.
 //   - Graceful drain: on SIGINT/SIGTERM the daemon stops accepting, lets
 //     in-flight jobs finish (or, past the grace deadline, cancels them so
-//     their sweeps flush resumable snapshots), flushes never-started jobs
-//     to a queue manifest, and exits 0. No accepted job is silently
-//     dropped — every one ends in a terminal state a client can query.
+//     their sweeps flush resumable snapshots), keeps never-started jobs in
+//     the write-ahead journal for the next start, and exits 0. No accepted
+//     job is silently dropped — every one ends in a terminal state a client
+//     can query.
 //   - Crash safety, not just graceful degradation: sweep jobs are split
 //     into shards dispatched to the shared pool under per-shard leases, a
 //     write-ahead journal (jobs.journal, on the checkpoint envelope)
 //     records accept/start/lease/shard-done/finish transitions, and
-//     Recover replays journal + queue manifest on restart so a daemon
-//     killed with SIGKILL mid-burst resumes every incomplete job from its
-//     last completed shard — bitwise-identical to an uninterrupted run. A
-//     shard whose lease expires is requeued with jittered backoff and
-//     bounded attempts; one that exhausts them is quarantined as a poison
-//     shard and its job completes "partial" with per-point detail instead
-//     of hanging or dying.
+//     Recover replays it on restart so a daemon killed with SIGKILL
+//     mid-burst resumes every incomplete job from its last completed
+//     shard — bitwise-identical to an uninterrupted run. A shard whose
+//     lease expires is requeued with jittered backoff and bounded
+//     attempts; one that exhausts them is quarantined as a poison shard
+//     and its job completes "partial" with per-point detail instead of
+//     hanging or dying.
 //
 // The package is the library half; cmd/pdnserve wires it to flags, signals
 // and an http.Server, and cmd/pdnload drives it for latency baselines.
@@ -42,7 +43,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -136,8 +136,8 @@ type Config struct {
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
 	// StateDir, when non-empty, enables persistence: the operator/factor
-	// cache, per-job sweep snapshots, and the drain queue manifest all live
-	// here. Empty serves from memory (no cache, drain cannot snapshot).
+	// cache, per-job sweep snapshots, and the write-ahead job journal all
+	// live here. Empty serves from memory (no cache, drain cannot snapshot).
 	StateDir string
 	// CheckpointEvery is the sweep snapshot cadence (points between
 	// snapshots) for daemon jobs. Zero selects DefaultCheckpointEvery.
@@ -162,7 +162,7 @@ type Config struct {
 	// as a poison shard. Zero selects DefaultShardAttempts.
 	ShardAttempts int
 	// StoragePolicy bounds the retries of one recovery-critical storage
-	// write (journal append, sweep snapshot, drain manifest, cache entry)
+	// write (journal append or rewrite, sweep snapshot, cache entry)
 	// before the daemon degrades durability. Only MaxAttempts and Backoff
 	// are honoured — RetryOn is fixed to the storage-failure class and
 	// perturbation does not apply. Zeros select DefaultStorageAttempts and
@@ -210,9 +210,9 @@ type Stats struct {
 	Shards        int64 `json:"shards"`
 	LeaseExpiries int64 `json:"lease_expiries"`
 	Quarantined   int64 `json:"quarantined"`
-	// Recovered counts jobs resubmitted by Recover (journal or manifest
-	// replay); JournalErrors counts write-ahead journal appends that failed
-	// (service continues; crash-recovery coverage degrades).
+	// Recovered counts jobs resubmitted by Recover (journal replay);
+	// JournalErrors counts write-ahead journal appends that failed (service
+	// continues; crash-recovery coverage degrades).
 	Recovered     int64 `json:"recovered"`
 	JournalErrors int64 `json:"journal_errors"`
 	// Durability is the current durability posture (armed | degraded |
@@ -234,7 +234,7 @@ type DrainReport struct {
 	Finished    int `json:"finished"`    // in-flight jobs that completed during the grace window
 	Snapshotted int `json:"snapshotted"` // in-flight jobs cancelled past grace with a resumable snapshot
 	Cancelled   int `json:"cancelled"`   // in-flight jobs cancelled past grace without a snapshot
-	Flushed     int `json:"flushed"`     // queued jobs flushed to the manifest, never started
+	Flushed     int `json:"flushed"`     // queued jobs flushed, never started; kept in the journal
 }
 
 // Server is the daemon. Create with New, start workers with Start, attach
@@ -869,11 +869,11 @@ func (s *Server) extract(ctx context.Context, jb *job) error {
 }
 
 // Drain gracefully shuts the daemon down: stop accepting, flush queued jobs
-// to the manifest, let in-flight jobs finish — and once ctx expires, cancel
-// them so their sweeps flush resumable snapshots. Drain always terminates:
-// in-flight work is context-aware by contract, and the escalation path
-// cancels it. Safe to call concurrently; every caller observes the first
-// drain's report.
+// (keeping them in the journal), let in-flight jobs finish — and once ctx
+// expires, cancel them so their sweeps flush resumable snapshots. Drain
+// always terminates: in-flight work is context-aware by contract, and the
+// escalation path cancels it. Safe to call concurrently; every caller
+// observes the first drain's report.
 func (s *Server) Drain(ctx context.Context) DrainReport {
 	s.mu.Lock()
 	if s.draining {
@@ -898,7 +898,7 @@ func (s *Server) Drain(ctx context.Context) DrainReport {
 	s.queueClosed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.writeManifest(flushed)
+	s.journalFlushed(flushed)
 
 	done := make(chan struct{})
 	go func() {
@@ -920,7 +920,7 @@ func (s *Server) Drain(ctx context.Context) DrainReport {
 	s.mu.Unlock()
 	if j != nil {
 		// Flushed jobs keep their accept records (no finish is journaled for
-		// them): a restarted daemon re-admits them from journal ∪ manifest.
+		// them): a restarted daemon re-admits them from the journal.
 		_ = j.Close()
 	}
 	close(s.drained)
@@ -947,76 +947,66 @@ func (s *Server) flushQueued() []*job {
 func (s *Server) flushJobLocked(jb *job) {
 	jb.state = StateFlushed
 	jb.finished = time.Now()
-	jb.err = simerr.Tagf(simerr.ErrCancelled, "serve: drained before start; resubmit from the queue manifest")
+	jb.err = simerr.Tagf(simerr.ErrCancelled, "serve: drained before start; a restart with recovery re-admits it from the job journal")
 }
 
-// manifestKind tags drain queue manifests in the checkpoint envelope.
-const manifestKind = "serve-queue"
-
-// manifestEntry is one flushed job in the drain manifest: everything needed
-// to resubmit it.
-type manifestEntry struct {
-	ID         string          `json:"id"`
-	Board      json.RawMessage `json:"board"`
-	Sweep      *SweepSpec      `json:"sweep,omitempty"`
-	DeadlineMS int64           `json:"deadline_ms,omitempty"`
-}
-
-// manifest is the drain-time queue state.
-type manifest struct {
-	DrainedAt string          `json:"drained_at"`
-	Jobs      []manifestEntry `json:"jobs"`
-}
-
-// writeManifest persists the flushed queue so accepted-but-never-started
-// jobs survive the process. Best-effort: with no state directory the jobs
-// are still individually marked flushed and queryable until shutdown.
-func (s *Server) writeManifest(flushed []*job) {
-	if s.cfg.StateDir == "" || len(flushed) == 0 {
+// journalFlushed keeps every job the drain flushed in the write-ahead
+// journal, the one record Recover replays: a flushed job's accept record has
+// no finish, so a restarted daemon re-admits it under its original id. When
+// every flushed job's accept record is already durable nothing is written.
+// Otherwise (its append failed, or was skipped while degraded) the journal
+// is compacted to the live set, flushed jobs included, as the re-arm probe
+// does — a rewrite rather than an append, because it also heals the torn
+// tail or mid-file corruption an append fails fast on. This is the last
+// chance to persist these jobs, so the rewrite is attempted (with retries)
+// even while durability is degraded. A job finishing between the capture
+// and the rewrite is re-run on restart; see tryRearm for why that is safe.
+func (s *Server) journalFlushed(flushed []*job) {
+	if s.cfg.StateDir == "" {
 		return
 	}
-	m := manifest{DrainedAt: time.Now().UTC().Format(time.RFC3339Nano)}
-	for _, jb := range flushed {
-		m.Jobs = append(m.Jobs, manifestEntry{
-			ID: jb.id, Board: jb.rawBoard, Sweep: jb.sweep, DeadlineMS: jb.deadline.Milliseconds()})
-	}
-	path := filepath.Join(s.cfg.StateDir, "queue.manifest")
-	// The manifest is the last chance to persist these jobs, so it is
-	// attempted (with retries) even while durability is degraded.
-	err := s.storageRetry(func() error { return checkpoint.Save(path, manifestKind, &m) })
 	s.mu.Lock()
+	var missing []*job
 	for _, jb := range flushed {
-		if err != nil {
-			jb.diag.Warnf("serve", "queue manifest", 0, 0, false,
-				"drain could not persist the queued job: %v", err)
-			s.markNonDurableLocked(jb, fmt.Sprintf("queue manifest write failed: %v", err))
-			s.stats.NonDurable++
-			continue
+		if !jb.durable {
+			missing = append(missing, jb)
 		}
-		// The manifest alone re-admits a flushed job on restart, so a
-		// durable manifest makes the job durable even if its accept record
-		// never reached the journal.
-		jb.durable = true
-		jb.lastErr = ""
+	}
+	if len(missing) == 0 {
+		s.mu.Unlock()
+		return
+	}
+	keep, captured := s.liveAcceptRecordsLocked()
+	s.mu.Unlock()
+	err := s.storageRetry(func() error {
+		j, err := s.openJournal()
+		if err != nil {
+			return err
+		}
+		return j.Rewrite(keep)
+	})
+	s.mu.Lock()
+	if err == nil {
+		// Only flushed jobs regain the claim: a running job's durability also
+		// rests on its sweep snapshots, which the rewrite does not vouch for.
+		for id := range captured {
+			if jb, ok := s.jobs[id]; ok && jb.state == StateFlushed {
+				jb.durable = true
+				jb.lastErr = ""
+			}
+		}
+	} else {
+		for _, jb := range missing {
+			jb.diag.Warnf("serve", "job journal", 0, 0, false,
+				"drain could not journal the queued job: %v", err)
+			s.markNonDurableLocked(jb, fmt.Sprintf("journal rewrite (drain) failed: %v", err))
+			s.stats.NonDurable++
+		}
 	}
 	s.mu.Unlock()
 	if err != nil {
-		s.degradeOn("queue manifest write", err)
+		s.degradeOn("journal rewrite (drain)", err)
 	}
-}
-
-// ReadManifest loads a drain queue manifest written by a previous run, so a
-// restarted daemon (or an operator script) can resubmit flushed jobs.
-func ReadManifest(stateDir string) ([]JobRequest, error) {
-	var m manifest
-	if err := checkpoint.Load(filepath.Join(stateDir, "queue.manifest"), manifestKind, &m); err != nil {
-		return nil, err
-	}
-	reqs := make([]JobRequest, 0, len(m.Jobs))
-	for _, e := range m.Jobs {
-		reqs = append(reqs, JobRequest{Board: e.Board, Sweep: e.Sweep, DeadlineMS: e.DeadlineMS})
-	}
-	return reqs, nil
 }
 
 // cancelInFlight cancels every running job (drain escalation past the grace

@@ -96,7 +96,17 @@ func unpackPoint(ps sweepPointState) *mat.CMatrix {
 	return s
 }
 
-func saveSweepSnapshot(path string, freqs []float64, z0 float64, done []bool, results []*mat.CMatrix) error {
+// SaveSweepCheckpoint persists the completed points of a (possibly sharded)
+// sweep in the standard sweep-snapshot envelope — the same format
+// SweepZSupervised writes and ResumeFrom reads, so shard-scheduler snapshots
+// and client-supplied resume files are interchangeable. done[i] marks
+// results[i] as complete; incomplete entries are not recorded and will be
+// recomputed on resume.
+func SaveSweepCheckpoint(path string, freqs []float64, z0 float64, done []bool, results []*mat.CMatrix) error {
+	if len(done) != len(freqs) || len(results) != len(freqs) {
+		return simerr.BadInput("sparam: sweep checkpoint",
+			"done/results length %d/%d does not match %d frequencies", len(done), len(results), len(freqs))
+	}
 	snap := &sweepSnapshot{Z0: z0, Freqs: freqs, Points: make([]sweepPointState, len(freqs))}
 	for i := range freqs {
 		if done[i] {
@@ -106,37 +116,46 @@ func saveSweepSnapshot(path string, freqs []float64, z0 float64, done []bool, re
 	return checkpoint.Save(path, sweepSnapshotKind, snap)
 }
 
-// loadSweepSnapshot loads and validates a sweep snapshot against the
-// requested frequency list and reference impedance. Mismatches are
-// simerr.ErrBadInput-class errors.
-func loadSweepSnapshot(path string, freqs []float64, z0 float64) (*sweepSnapshot, error) {
+// LoadSweepCheckpoint restores the completed points of a sweep snapshot
+// written by SaveSweepCheckpoint, validating it against the requested
+// frequency list and reference impedance bitwise. Returns per-point done
+// flags and S matrices of len(freqs). Mismatches are simerr.ErrBadInput-class
+// errors.
+func LoadSweepCheckpoint(path string, freqs []float64, z0 float64) (done []bool, results []*mat.CMatrix, err error) {
 	bad := func(format string, args ...any) error {
 		return simerr.BadInput("sparam: resume", format, args...)
 	}
 	var snap sweepSnapshot
 	if err := checkpoint.Load(path, sweepSnapshotKind, &snap); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !checkpoint.SameBits(snap.Z0, z0) {
-		return nil, bad("snapshot reference impedance %g does not match %g", snap.Z0, z0)
+		return nil, nil, bad("snapshot reference impedance %g does not match %g", snap.Z0, z0)
 	}
 	if len(snap.Freqs) != len(freqs) {
-		return nil, bad("snapshot has %d frequencies, sweep has %d", len(snap.Freqs), len(freqs))
+		return nil, nil, bad("snapshot has %d frequencies, sweep has %d", len(snap.Freqs), len(freqs))
 	}
 	for i := range freqs {
 		if !checkpoint.SameBits(snap.Freqs[i], freqs[i]) {
-			return nil, bad("snapshot frequency %d is %g Hz, sweep has %g Hz", i, snap.Freqs[i], freqs[i])
+			return nil, nil, bad("snapshot frequency %d is %g Hz, sweep has %g Hz", i, snap.Freqs[i], freqs[i])
 		}
 	}
 	if len(snap.Points) != len(freqs) {
-		return nil, bad("snapshot point records are inconsistent with its frequency list")
+		return nil, nil, bad("snapshot point records are inconsistent with its frequency list")
 	}
+	done = make([]bool, len(freqs))
+	results = make([]*mat.CMatrix, len(freqs))
 	for i, ps := range snap.Points {
-		if ps.Done && (ps.N < 1 || len(ps.RI) != 2*ps.N*ps.N) {
-			return nil, bad("snapshot point %d has a malformed S matrix record", i)
+		if !ps.Done {
+			continue
 		}
+		if ps.N < 1 || len(ps.RI) != 2*ps.N*ps.N {
+			return nil, nil, bad("snapshot point %d has a malformed S matrix record", i)
+		}
+		done[i] = true
+		results[i] = unpackPoint(ps)
 	}
-	return &snap, nil
+	return done, results, nil
 }
 
 // SweepZSupervised is SweepZCtx with run survivability: every frequency
@@ -174,15 +193,10 @@ func SweepZSupervised(ctx context.Context, freqs []float64, opts SweepOptions, z
 		statuses[i] = PointStatus{Freq: freqs[i]}
 	}
 	if opts.ResumeFrom != "" {
-		snap, err := loadSweepSnapshot(opts.ResumeFrom, freqs, opts.Z0)
+		var err error
+		done, results, err = LoadSweepCheckpoint(opts.ResumeFrom, freqs, opts.Z0)
 		if err != nil {
 			return nil, nil, fmt.Errorf("sparam: sweep resume: %w", err)
-		}
-		for i, ps := range snap.Points {
-			if ps.Done {
-				results[i] = unpackPoint(ps)
-				done[i] = true
-			}
 		}
 	}
 
@@ -194,7 +208,7 @@ func SweepZSupervised(ctx context.Context, freqs []float64, opts SweepOptions, z
 	for lo := 0; lo < n; lo += chunk {
 		if err := simerr.CheckCtx(ctx, "sparam: sweep"); err != nil {
 			if ckpt.Enabled() {
-				if serr := saveSweepSnapshot(ckpt.Path, freqs, opts.Z0, done, results); serr != nil {
+				if serr := SaveSweepCheckpoint(ckpt.Path, freqs, opts.Z0, done, results); serr != nil {
 					return nil, statuses, fmt.Errorf("sparam: sweep cancelled and checkpoint flush failed: %w",
 						errors.Join(err, serr))
 				}
@@ -219,7 +233,7 @@ func SweepZSupervised(ctx context.Context, freqs []float64, opts SweepOptions, z
 		for i := lo; i < hi; i++ {
 			if statuses[i].Err != nil && errors.Is(statuses[i].Err, simerr.ErrCancelled) {
 				if ckpt.Enabled() {
-					if serr := saveSweepSnapshot(ckpt.Path, freqs, opts.Z0, done, results); serr != nil {
+					if serr := SaveSweepCheckpoint(ckpt.Path, freqs, opts.Z0, done, results); serr != nil {
 						return nil, statuses, fmt.Errorf("sparam: sweep cancelled and checkpoint flush failed: %w",
 							errors.Join(statuses[i].Err, serr))
 					}
@@ -228,7 +242,7 @@ func SweepZSupervised(ctx context.Context, freqs []float64, opts SweepOptions, z
 			}
 		}
 		if ckpt.Enabled() {
-			if err := saveSweepSnapshot(ckpt.Path, freqs, opts.Z0, done, results); err != nil {
+			if err := SaveSweepCheckpoint(ckpt.Path, freqs, opts.Z0, done, results); err != nil {
 				return nil, statuses, fmt.Errorf("sparam: sweep checkpoint: %w", err)
 			}
 		}
